@@ -5,13 +5,6 @@ type t = {
   mutable res : int array;  (* link id -> cells per frame reserved *)
   shards : int;
   shard_range : int;  (* links per shard (by link-id range) *)
-  (* BFS scratch, reused across requests. [bfs_seen] holds stamps, so a
-     new request invalidates the previous one by bumping [bfs_stamp]
-     instead of clearing; the arrays grow if the graph does. *)
-  mutable bfs_prev : int array;
-  mutable bfs_seen : int array;
-  mutable bfs_queue : int array;
-  mutable bfs_stamp : int;
   obs : Obs.Sink.t;
   c_requests : Obs.Metrics.Counter.t;
   c_granted : Obs.Metrics.Counter.t;
@@ -38,10 +31,6 @@ let create ?(obs = Obs.Sink.null) ?(shards = 1) net =
     res = Array.make (max 64 lc) 0;
     shards;
     shard_range = max 1 ((lc + shards - 1) / shards);
-    bfs_prev = [||];
-    bfs_seen = [||];
-    bfs_queue = [||];
-    bfs_stamp = 0;
     obs;
     c_requests = Obs.Sink.counter obs "bwc.requests";
     c_granted = Obs.Sink.counter obs "bwc.granted";
@@ -95,18 +84,12 @@ let reservations t =
 
 let headroom t lid = Network.frame_length t.net - reserved t lid
 
-let ensure_scratch t n =
-  if Array.length t.bfs_seen < n then begin
-    let cap = max n (2 * Array.length t.bfs_seen) in
-    t.bfs_prev <- Array.make cap (-1);
-    t.bfs_seen <- Array.make cap 0;
-    t.bfs_queue <- Array.make cap 0
-  end
-
 (* Shortest switch path where every link (host links included) has
-   [cells] of headroom. BFS with a per-link capacity filter, over the
-   reused scratch arrays (each switch enters the ring at most once, so
-   an [switch_count]-sized array is a sufficient queue). *)
+   [cells] of headroom, with the links to reserve: the route kernel
+   with a headroom filter, stopping at the destination. The links are
+   the ones the search crossed — between parallel links, the lowest-id
+   one with headroom. A failed search is repeated unfiltered to tell
+   "physically disconnected" from "saturated". *)
 let capacity_route t ~src_host ~dst_host ~cells =
   let g = Network.graph t.net in
   match
@@ -117,36 +100,21 @@ let capacity_route t ~src_host ~dst_host ~cells =
     if headroom t src_link < cells || headroom t dst_link < cells then
       Error No_capacity
     else begin
-      let n = Topo.Graph.switch_count g in
-      ensure_scratch t n;
-      t.bfs_stamp <- t.bfs_stamp + 1;
-      let stamp = t.bfs_stamp in
-      let prev = t.bfs_prev
-      and seen = t.bfs_seen
-      and queue = t.bfs_queue in
-      seen.(a) <- stamp;
-      queue.(0) <- a;
-      let head = ref 0
-      and tail = ref 1 in
-      while !head < !tail do
-        let s = queue.(!head) in
-        incr head;
-        Topo.Graph.iter_switch_neighbors g s (fun s' lid ->
-            if seen.(s') <> stamp && headroom t lid >= cells then begin
-              seen.(s') <- stamp;
-              prev.(s') <- s;
-              queue.(!tail) <- s';
-              incr tail
-            end)
-      done;
-      if seen.(b) <> stamp then
-        (* Distinguish "physically disconnected" from "saturated". *)
-        if Topo.Paths.route g ~src:a ~dst:b = None then Error No_route
-        else Error No_capacity
-      else begin
-        let rec walk acc s = if s = a then a :: acc else walk (s :: acc) prev.(s) in
-        Ok (walk [] b)
-      end
+      let bfs = Topo.Graph.Bfs.local () in
+      Topo.Graph.Bfs.run bfs g ~src:a ~dst:b ~admit:(fun lid ->
+          headroom t lid >= cells);
+      match Topo.Graph.Bfs.path bfs b with
+      | Some switches ->
+        let rec back links s =
+          if s = a then src_link :: links
+          else
+            back (Topo.Graph.Bfs.parent_link bfs s :: links)
+              (Topo.Graph.Bfs.parent bfs s)
+        in
+        Ok (switches, back [ dst_link ] b)
+      | None ->
+        Topo.Graph.Bfs.run bfs g ~src:a ~dst:b;
+        if Topo.Graph.Bfs.hops bfs b < 0 then Error No_route else Error No_capacity
     end
 
 let install_schedules t vc cells =
@@ -173,19 +141,14 @@ let request t ~src_host ~dst_host ~cells =
   let outcome =
     match capacity_route t ~src_host ~dst_host ~cells with
     | Error d -> Error d
-    | Ok switches ->
-      (match
-         Network.links_of_switch_path t.net ~src_host ~dst_host switches
-       with
-       | Error _ -> Error No_route
-       | Ok links ->
-         let vc =
-           Network.register_guaranteed t.net ~src_host ~dst_host ~cells
-             ~switches ~links
-         in
-         List.iter (fun lid -> add_reserved t lid cells) links;
-         install_schedules t vc cells;
-         Ok vc)
+    | Ok (switches, links) ->
+      let vc =
+        Network.register_guaranteed t.net ~src_host ~dst_host ~cells ~switches
+          ~links
+      in
+      List.iter (fun lid -> add_reserved t lid cells) links;
+      install_schedules t vc cells;
+      Ok vc
   in
   if obs_on t then begin
     match outcome with
@@ -239,19 +202,13 @@ let reroute_after_failure t vc =
          ~dst_host:vc.Network.dst_host ~cells
      with
      | Error d -> dissolve d
-     | Ok switches ->
-       (match
-          Network.links_of_switch_path t.net ~src_host:vc.Network.src_host
-            ~dst_host:vc.Network.dst_host switches
-        with
-        | Error _ -> dissolve No_route
-        | Ok links ->
-          vc.Network.switches <- switches;
-          vc.Network.links <- links;
-          Network.install t.net vc;
-          List.iter (fun lid -> add_reserved t lid cells) links;
-          install_schedules t vc cells;
-          Ok ()))
+     | Ok (switches, links) ->
+       vc.Network.switches <- switches;
+       vc.Network.links <- links;
+       Network.install t.net vc;
+       List.iter (fun lid -> add_reserved t lid cells) links;
+       install_schedules t vc cells;
+       Ok ())
 
 (* Fault injection for the soak harness: silently inflate a link's
    reservation count without touching any circuit. Invisible to every
@@ -262,9 +219,9 @@ let inject_leak t ~link ~cells =
   add_reserved t link cells
 
 (* Snapshots. The core's persistent state is the shard layout and the
-   reservation counters; BFS scratch is stampable scratch and the obs
-   counters are instrumentation, neither is saved. Canonical: the res
-   array is written as the exact link-count prefix. *)
+   reservation counters; the obs counters are instrumentation and are
+   not saved. Canonical: the res array is written as the exact
+   link-count prefix. *)
 
 let snapshot_section = "an2-bwc"
 let snapshot_version = 1
@@ -479,101 +436,95 @@ module Service = struct
     occupy t co ~cost:t.params.route_cost (fun () ->
         match capacity_route t.core ~src_host ~dst_host ~cells with
         | Error d -> deny d
-        | Ok switches ->
-          (match
-             Network.links_of_switch_path t.core.net ~src_host ~dst_host
-               switches
-           with
-           | Error _ -> deny No_route
-           | Ok links ->
-             (* Partition the route's links by owning shard. Foreign
-                shards are visited in ascending order — a total escrow
-                order, so concurrent cross-shard admissions cannot
-                deadlock and replay deterministically. *)
-             let per = Array.make t.core.shards [] in
-             List.iter
-               (fun lid ->
-                 let sh = shard_of t.core lid in
-                 per.(sh) <- lid :: per.(sh))
-               links;
-             let foreign = ref [] in
-             for sh = t.core.shards - 1 downto 0 do
-               if sh <> co && per.(sh) <> [] then foreign := sh :: !foreign
-             done;
-             if !foreign <> [] then begin
-               t.cross_shard <- t.cross_shard + 1;
-               if obs_on t.core then Obs.Metrics.Counter.incr t.c_cross_shard
-             end;
-             let escrowed = ref [] in
-             (* Compensation: return every escrowed shard's cells. *)
-             let undo () =
-               List.iter
-                 (fun sh ->
-                   List.iter
-                     (fun lid -> sub_reserved t.core lid cells)
-                     per.(sh))
-                 !escrowed
-             in
-             let conflict () =
-               undo ();
-               t.escrow_conflicts <- t.escrow_conflicts + 1;
-               if obs_on t.core then
-                 Obs.Metrics.Counter.incr t.c_escrow_conflicts;
-               deny No_capacity
-             in
-             let commit () =
-               let writes =
-                 if batched t then 0
-                 else List.length switches * t.params.write_cost
-               in
-               occupy t co ~cost:(t.params.admit_cost + writes) (fun () ->
-                   (* Re-validate the coordinator's own links: another
-                      admission may have landed since the route was
-                      computed. *)
-                   if
-                     List.exists
-                       (fun lid -> headroom t.core lid < cells)
-                       per.(co)
-                   then conflict ()
-                   else begin
-                     List.iter
-                       (fun lid -> add_reserved t.core lid cells)
-                       per.(co);
-                     let vc =
-                       Network.register_guaranteed
-                         ~install:(not (batched t)) t.core.net ~src_host
-                         ~dst_host ~cells ~switches ~links
-                     in
-                     install_schedules t.core vc cells;
-                     if batched t then begin
-                       t.pending_writes.(co) <- vc :: t.pending_writes.(co);
-                       arm_flush t co
-                     end;
-                     t.granted <- t.granted + 1;
-                     if obs_on t.core then
-                       Obs.Metrics.Counter.incr t.core.c_granted;
-                     t.in_flight <- t.in_flight - 1;
-                     on_done (Ok vc)
-                   end)
-             in
-             let rec escrow = function
-               | [] -> commit ()
-               | sh :: rest ->
-                 occupy t sh ~cost:t.params.escrow_cost (fun () ->
-                     if
-                       List.exists
-                         (fun lid -> headroom t.core lid < cells)
-                         per.(sh)
-                     then conflict ()
-                     else begin
-                       List.iter
-                         (fun lid -> add_reserved t.core lid cells)
-                         per.(sh);
-                       escrowed := sh :: !escrowed;
-                       escrow rest
-                     end)
-             in
-             escrow !foreign))
+        | Ok (switches, links) ->
+          (* Partition the route's links by owning shard. Foreign
+             shards are visited in ascending order — a total escrow
+             order, so concurrent cross-shard admissions cannot
+             deadlock and replay deterministically. *)
+          let per = Array.make t.core.shards [] in
+          List.iter
+            (fun lid ->
+              let sh = shard_of t.core lid in
+              per.(sh) <- lid :: per.(sh))
+            links;
+          let foreign = ref [] in
+          for sh = t.core.shards - 1 downto 0 do
+            if sh <> co && per.(sh) <> [] then foreign := sh :: !foreign
+          done;
+          if !foreign <> [] then begin
+            t.cross_shard <- t.cross_shard + 1;
+            if obs_on t.core then Obs.Metrics.Counter.incr t.c_cross_shard
+          end;
+          let escrowed = ref [] in
+          (* Compensation: return every escrowed shard's cells. *)
+          let undo () =
+            List.iter
+              (fun sh ->
+                List.iter
+                  (fun lid -> sub_reserved t.core lid cells)
+                  per.(sh))
+              !escrowed
+          in
+          let conflict () =
+            undo ();
+            t.escrow_conflicts <- t.escrow_conflicts + 1;
+            if obs_on t.core then
+              Obs.Metrics.Counter.incr t.c_escrow_conflicts;
+            deny No_capacity
+          in
+          let commit () =
+            let writes =
+              if batched t then 0
+              else List.length switches * t.params.write_cost
+            in
+            occupy t co ~cost:(t.params.admit_cost + writes) (fun () ->
+                (* Re-validate the coordinator's own links: another
+                   admission may have landed since the route was
+                   computed. *)
+                if
+                  List.exists
+                    (fun lid -> headroom t.core lid < cells)
+                    per.(co)
+                then conflict ()
+                else begin
+                  List.iter
+                    (fun lid -> add_reserved t.core lid cells)
+                    per.(co);
+                  let vc =
+                    Network.register_guaranteed
+                      ~install:(not (batched t)) t.core.net ~src_host
+                      ~dst_host ~cells ~switches ~links
+                  in
+                  install_schedules t.core vc cells;
+                  if batched t then begin
+                    t.pending_writes.(co) <- vc :: t.pending_writes.(co);
+                    arm_flush t co
+                  end;
+                  t.granted <- t.granted + 1;
+                  if obs_on t.core then
+                    Obs.Metrics.Counter.incr t.core.c_granted;
+                  t.in_flight <- t.in_flight - 1;
+                  on_done (Ok vc)
+                end)
+          in
+          let rec escrow = function
+            | [] -> commit ()
+            | sh :: rest ->
+              occupy t sh ~cost:t.params.escrow_cost (fun () ->
+                  if
+                    List.exists
+                      (fun lid -> headroom t.core lid < cells)
+                      per.(sh)
+                  then conflict ()
+                  else begin
+                    List.iter
+                      (fun lid -> add_reserved t.core lid cells)
+                      per.(sh);
+                    escrowed := sh :: !escrowed;
+                    escrow rest
+                  end)
+          in
+          escrow !foreign)
 
   let release t vc =
     match vc.Network.cls with

@@ -87,9 +87,8 @@ val inject_leak : t -> link:int -> cells:int -> unit
     seeded slow-corruption fault the soak harness bisects to. *)
 
 val save : t -> Netsim.Snapshot.section
-(** Serialize the shard layout and reservation counters (BFS scratch
-    and obs counters are not state). Canonical: equal reservations
-    yield equal bytes. *)
+(** Serialize the shard layout and reservation counters (obs counters
+    are not state). Canonical: equal reservations yield equal bytes. *)
 
 val restore : ?obs:Obs.Sink.t -> Network.t -> Netsim.Snapshot.section -> t
 (** Rebuild a core over an already-restored network. Raises

@@ -44,22 +44,13 @@ let host_attachment t h =
   | (s, lid) :: _ -> Ok (s, lid)
   | [] -> Error (Printf.sprintf "host %d has no working attachment" h)
 
-(* Link id connecting two adjacent switches (lowest id wins when the
-   pair is multiply connected). *)
-let switch_link t a b =
-  match
-    List.find_opt (fun (s', _) -> s' = b) (Topo.Graph.switch_neighbors t.graph a)
-  with
-  | Some (_, lid) -> Some lid
-  | None -> None
-
 let links_of_switch_path t ~src_host ~dst_host switches =
   match (host_attachment t src_host, host_attachment t dst_host) with
   | Error e, _ | _, Error e -> Error e
   | Ok (first, src_link), Ok (last, dst_link) ->
     let rec expand acc = function
       | a :: (b :: _ as rest) ->
-        (match switch_link t a b with
+        (match Topo.Graph.switch_link t.graph a b with
          | Some lid -> expand (lid :: acc) rest
          | None -> Error (Printf.sprintf "switches %d and %d not adjacent" a b))
       | _ -> Ok (List.rev acc)

@@ -71,36 +71,25 @@ type result = {
 let find_separator g =
   let n = Topo.Graph.switch_count g in
   if n < 2 then invalid_arg "Partition.find_separator: need >= 2 switches";
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let rev_order = ref [] in
-  let q = Queue.create () in
-  seen.(0) <- true;
-  Queue.add 0 q;
-  while not (Queue.is_empty q) do
-    let s = Queue.pop q in
-    rev_order := s :: !rev_order;
-    List.iter
-      (fun (s', _) ->
-        if not seen.(s') then begin
-          seen.(s') <- true;
-          parent.(s') <- s;
-          Queue.add s' q
-        end)
-      (Topo.Graph.switch_neighbors g s)
-  done;
-  let reachable = Array.fold_left (fun a b -> if b then a + 1 else a) 0 seen in
+  let b = Topo.Graph.Bfs.local () in
+  Topo.Graph.Bfs.run b g ~src:0;
+  let reachable = Topo.Graph.Bfs.reached b in
   if reachable < 2 then
     invalid_arg "Partition.find_separator: working graph has one switch";
-  (* Children precede parents in [rev_order], so sizes accumulate up. *)
+  (* Switch 0 is the root; any other switch was reached iff it has a
+     parent. *)
+  let parent = Array.init n (Topo.Graph.Bfs.parent b) in
+  (* Children are discovered after parents, so walking the discovery
+     order backwards accumulates sizes up. *)
   let size = Array.make n 1 in
-  List.iter
-    (fun s -> if parent.(s) >= 0 then size.(parent.(s)) <- size.(parent.(s)) + size.(s))
-    !rev_order;
+  for i = reachable - 1 downto 1 do
+    let s = Topo.Graph.Bfs.nth b i in
+    size.(parent.(s)) <- size.(parent.(s)) + size.(s)
+  done;
   let best = ref (-1) in
   let best_score = ref max_int in
   for v = n - 1 downto 1 do
-    if seen.(v) then begin
+    if parent.(v) >= 0 then begin
       let score = abs ((2 * size.(v)) - reachable) in
       if score <= !best_score then begin
         best_score := score;
@@ -108,13 +97,8 @@ let find_separator g =
       end
     end
   done;
-  let in_b = Array.make n false in
-  for s = 0 to n - 1 do
-    if seen.(s) then begin
-      let rec under v = v = !best || (parent.(v) >= 0 && under parent.(v)) in
-      if under s then in_b.(s) <- true
-    end
-  done;
+  let rec under v = v = !best || (parent.(v) >= 0 && under parent.(v)) in
+  let in_b = Array.init n under in
   let cut =
     List.filter_map
       (fun l ->

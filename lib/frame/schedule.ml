@@ -1,10 +1,14 @@
 type t = {
   size : int;
   slots : int;
-  (* out_of.(s).(i) = output fed by input i in slot s, or -1. *)
+  (* out_of.(i).(s) = output fed by input i in slot s, or -1. *)
   out_of : int array array;
-  (* in_of.(s).(o) = input feeding output o in slot s, or -1. *)
+  (* in_of.(o).(s) = input feeding output o in slot s, or -1. Both are
+     port-major, so a scan of one port over the frame is contiguous. *)
   in_of : int array array;
+  (* top.(i) bounds the slots input i has ever used: no slot at or
+     above it holds one of i's connections. *)
+  top : int array;
 }
 
 let create ~n ~frame =
@@ -12,41 +16,43 @@ let create ~n ~frame =
   {
     size = n;
     slots = frame;
-    out_of = Array.make_matrix frame n (-1);
-    in_of = Array.make_matrix frame n (-1);
+    out_of = Array.make_matrix n frame (-1);
+    in_of = Array.make_matrix n frame (-1);
+    top = Array.make n 0;
   }
 
 let n t = t.size
 let frame t = t.slots
 
 let output_of t ~slot ~input =
-  let o = t.out_of.(slot).(input) in
+  let o = t.out_of.(input).(slot) in
   if o < 0 then None else Some o
 
 let input_of t ~slot ~output =
-  let i = t.in_of.(slot).(output) in
+  let i = t.in_of.(output).(slot) in
   if i < 0 then None else Some i
 
-let input_free t ~slot ~input = t.out_of.(slot).(input) < 0
-let output_free t ~slot ~output = t.in_of.(slot).(output) < 0
+let input_free t ~slot ~input = t.out_of.(input).(slot) < 0
+let output_free t ~slot ~output = t.in_of.(output).(slot) < 0
 
 let place t ~slot ~input ~output =
   if not (input_free t ~slot ~input) then
     invalid_arg (Printf.sprintf "Schedule.place: input %d busy in slot %d" input slot);
   if not (output_free t ~slot ~output) then
     invalid_arg (Printf.sprintf "Schedule.place: output %d busy in slot %d" output slot);
-  t.out_of.(slot).(input) <- output;
-  t.in_of.(slot).(output) <- input
+  t.out_of.(input).(slot) <- output;
+  t.in_of.(output).(slot) <- input;
+  if slot >= t.top.(input) then t.top.(input) <- slot + 1
 
 let unplace t ~slot ~input ~output =
-  assert (t.out_of.(slot).(input) = output);
-  t.out_of.(slot).(input) <- -1;
-  t.in_of.(slot).(output) <- -1
+  assert (t.out_of.(input).(slot) = output);
+  t.out_of.(input).(slot) <- -1;
+  t.in_of.(output).(slot) <- -1
 
 let reserved_count t ~input ~output =
   let count = ref 0 in
   for s = 0 to t.slots - 1 do
-    if t.out_of.(s).(input) = output then incr count
+    if t.out_of.(input).(s) = output then incr count
   done;
   !count
 
@@ -54,7 +60,7 @@ let to_reservation t =
   let r = Reservation.create t.size in
   for s = 0 to t.slots - 1 do
     for i = 0 to t.size - 1 do
-      let o = t.out_of.(s).(i) in
+      let o = t.out_of.(i).(s) in
       if o >= 0 then Reservation.add r i o 1
     done
   done;
@@ -100,11 +106,11 @@ let add_cell t ~input ~output =
            failwith "Schedule.add_cell: swap chain exceeded bound (bug)";
          incr steps;
          let in_conflict =
-           let o' = t.out_of.(slot).(i) in
+           let o' = t.out_of.(i).(slot) in
            if o' >= 0 then Some (i, o') else None
          in
          let out_conflict =
-           let i' = t.in_of.(slot).(o) in
+           let i' = t.in_of.(o).(slot) in
            if i' >= 0 then Some (i', o) else None
          in
          (match (in_conflict, out_conflict) with
@@ -133,27 +139,29 @@ let add_reservation t ~input ~output ~cells =
   if cells < 0 then invalid_arg "Schedule.add_reservation";
   go cells 0
 
+(* Frees the highest slot holding the connection. *)
 let remove_cell t ~input ~output =
-  let found = ref None in
-  for s = 0 to t.slots - 1 do
-    if t.out_of.(s).(input) = output then found := Some s
-  done;
-  match !found with
-  | Some s ->
-    unplace t ~slot:s ~input ~output;
-    true
-  | None -> false
+  let row = t.out_of.(input) in
+  let rec scan s =
+    if s < 0 then false
+    else if row.(s) = output then begin
+      unplace t ~slot:s ~input ~output;
+      true
+    end
+    else scan (s - 1)
+  in
+  scan (t.top.(input) - 1)
 
 let valid t =
   let ok = ref true in
   for s = 0 to t.slots - 1 do
     for i = 0 to t.size - 1 do
-      let o = t.out_of.(s).(i) in
-      if o >= 0 && t.in_of.(s).(o) <> i then ok := false
+      let o = t.out_of.(i).(s) in
+      if o >= 0 && t.in_of.(o).(s) <> i then ok := false
     done;
     for o = 0 to t.size - 1 do
-      let i = t.in_of.(s).(o) in
-      if i >= 0 && t.out_of.(s).(i) <> o then ok := false
+      let i = t.in_of.(o).(s) in
+      if i >= 0 && t.out_of.(i).(s) <> o then ok := false
     done
   done;
   !ok
@@ -164,6 +172,7 @@ let copy t =
     slots = t.slots;
     out_of = Array.map Array.copy t.out_of;
     in_of = Array.map Array.copy t.in_of;
+    top = Array.copy t.top;
   }
 
 let pp fmt t =
@@ -171,7 +180,7 @@ let pp fmt t =
   for s = 0 to t.slots - 1 do
     Format.fprintf fmt "  slot %d |" (s + 1);
     for i = 0 to t.size - 1 do
-      let o = t.out_of.(s).(i) in
+      let o = t.out_of.(i).(s) in
       if o >= 0 then Format.fprintf fmt " %d->%d" (i + 1) (o + 1)
       else Format.fprintf fmt "     "
     done;

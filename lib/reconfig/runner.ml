@@ -52,18 +52,9 @@ type event =
    [root]. *)
 let true_topology g ~root =
   let n = Topo.Graph.switch_count g in
-  let in_component = Array.make n false in
-  let queue = Queue.create () in
-  in_component.(root) <- true;
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    Topo.Graph.iter_switch_neighbors g s (fun s' _ ->
-        if not in_component.(s') then begin
-          in_component.(s') <- true;
-          Queue.add s' queue
-        end)
-  done;
+  let b = Topo.Graph.Bfs.local () in
+  Topo.Graph.Bfs.run b g ~src:root;
+  let in_component = Array.init n (fun s -> Topo.Graph.Bfs.hops b s >= 0) in
   let edges = ref [] in
   for s = 0 to n - 1 do
     if in_component.(s) then begin
@@ -94,22 +85,15 @@ let make_truth g =
   let relabel () =
     Array.fill comp 0 n (-1);
     Hashtbl.reset edges;
+    let b = Topo.Graph.Bfs.local () in
     let next = ref 0 in
-    let queue = Queue.create () in
     for s0 = 0 to n - 1 do
       if comp.(s0) < 0 then begin
-        let c = !next in
-        incr next;
-        comp.(s0) <- c;
-        Queue.add s0 queue;
-        while not (Queue.is_empty queue) do
-          let s = Queue.pop queue in
-          Topo.Graph.iter_switch_neighbors g s (fun s' _ ->
-              if comp.(s') < 0 then begin
-                comp.(s') <- c;
-                Queue.add s' queue
-              end)
-        done
+        Topo.Graph.Bfs.run b g ~src:s0;
+        for i = 0 to Topo.Graph.Bfs.reached b - 1 do
+          comp.(Topo.Graph.Bfs.nth b i) <- !next
+        done;
+        incr next
       end
     done
   in

@@ -39,10 +39,14 @@ type link = {
    link bits per word) so link-state tests and scans touch one int.
 
    Adjacency is a CSR (compressed sparse row) built lazily: [sw_adj]
-   holds link ids grouped per switch between offsets [sw_off.(s)] and
-   [sw_off.(s+1)], each group sorted by (other-node kind, other id,
-   link id) — switch neighbors first, then host attachments, each in
-   the (other, link) order the list API documents. Structural changes
+   holds packed keys grouped per switch between offsets [sw_off.(s)]
+   and [sw_off.(s+1)]. A key is (other-node kind, other id, link id)
+   packed into one int, so each group sorts by plain int order —
+   switch neighbors first, then host attachments, each in the
+   (other, link) order the list API documents — and a scan reads the
+   neighbor and the link from one word without touching the link
+   record. [sw_mid.(s)] is where [s]'s host attachments start, so a
+   switch-neighbor scan is a bare int loop. Structural changes
    (add/connect) only mark the CSR dirty; fail/restore never touch it,
    so failure churn on a frozen topology is allocation-free. *)
 
@@ -61,7 +65,8 @@ type t = {
   mutable version : int;  (* bumped on any mutation, keys caches *)
   mutable csr_valid : bool;
   mutable sw_off : int array;  (* n_switches + 1 offsets into sw_adj *)
-  mutable sw_adj : int array;  (* link ids, per-switch sorted groups *)
+  mutable sw_mid : int array;  (* per switch: first host entry in sw_adj *)
+  mutable sw_adj : int array;  (* packed keys, per-switch sorted groups *)
   mutable host_off : int array;
   mutable host_adj : int array;
 }
@@ -80,6 +85,7 @@ let create ?(ports_per_switch = 16) ?(ports_per_host = 2) () =
     version = 0;
     csr_valid = false;
     sw_off = [| 0 |];
+    sw_mid = [||];
     sw_adj = [||];
     host_off = [| 0 |];
     host_adj = [||];
@@ -199,34 +205,34 @@ let other_end l node =
   else if l.b.node = node then l.a
   else invalid_arg "Graph.other_end: node not on link"
 
-(* CSR (re)build: count degrees, prefix-sum into offsets, fill, then
-   sort each group. Cost O(V + E log maxdeg), paid once per batch of
-   structural changes — a query after N connects rebuilds once. *)
+(* CSR (re)build: count degrees, prefix-sum into offsets, fill keys,
+   then sort each group. Cost O(V + E log maxdeg), paid once per batch
+   of structural changes — a query after N connects rebuilds once. *)
 
-(* Sort key of incident link [lid] seen from [node]: switch neighbors
-   before host attachments, then by other id, then by link id — the
-   order the list API has always returned. Node and link ids fit
-   comfortably in the shifted fields on 64-bit. *)
-let adj_key t node lid =
-  let l = t.link_arr.(lid) in
-  let kind, other =
-    match (other_end l node).node with
-    | Switch s -> (0, s)
-    | Host h -> (1, h)
-  in
-  (((kind lsl 30) lor other) lsl 31) lor lid
+(* Adjacency key of link [lid] at the end whose far node is [other]:
+   kind (0 switch, 1 host) above the far node's id above the link id,
+   so int order is (kind, other, link). Node ids fit in 30 bits and
+   link ids in 31 on 64-bit. *)
+let link_bits = 31
+let node_bits = 30
+let key_link k = k land ((1 lsl link_bits) - 1)
+let key_node k = (k lsr link_bits) land ((1 lsl node_bits) - 1)
+let key_is_host k = k lsr (link_bits + node_bits) = 1
 
-let sort_group t node adj lo hi =
+let adj_key other lid =
+  let kind, id = match other with Switch s -> (0, s) | Host h -> (1, h) in
+  (((kind lsl node_bits) lor id) lsl link_bits) lor lid
+
+let sort_group adj lo hi =
   (* insertion sort: groups are node degrees, small and mostly sorted *)
   for i = lo + 1 to hi - 1 do
-    let v = adj.(i) in
-    let k = adj_key t node v in
+    let k = adj.(i) in
     let j = ref (i - 1) in
-    while !j >= lo && adj_key t node adj.(!j) > k do
+    while !j >= lo && adj.(!j) > k do
       adj.(!j + 1) <- adj.(!j);
       decr j
     done;
-    adj.(!j + 1) <- v
+    adj.(!j + 1) <- k
   done
 
 let rebuild_csr t =
@@ -251,26 +257,30 @@ let rebuild_csr t =
   let sw_adj = Array.make sw_off.(ns) 0 in
   let host_adj = Array.make host_off.(nh) 0 in
   let sw_fill = Array.copy sw_off and host_fill = Array.copy host_off in
-  let place lid = function
+  (* Switch entries sort first, so counting them places the boundary. *)
+  let sw_mid = Array.sub sw_off 0 ns in
+  let place key = function
     | Switch s ->
-      sw_adj.(sw_fill.(s)) <- lid;
-      sw_fill.(s) <- sw_fill.(s) + 1
+      sw_adj.(sw_fill.(s)) <- key;
+      sw_fill.(s) <- sw_fill.(s) + 1;
+      if not (key_is_host key) then sw_mid.(s) <- sw_mid.(s) + 1
     | Host h ->
-      host_adj.(host_fill.(h)) <- lid;
+      host_adj.(host_fill.(h)) <- key;
       host_fill.(h) <- host_fill.(h) + 1
   in
   for i = 0 to t.n_links - 1 do
     let l = t.link_arr.(i) in
-    place i l.a.node;
-    place i l.b.node
+    place (adj_key l.b.node i) l.a.node;
+    place (adj_key l.a.node i) l.b.node
   done;
   for s = 0 to ns - 1 do
-    sort_group t (Switch s) sw_adj sw_off.(s) sw_off.(s + 1)
+    sort_group sw_adj sw_off.(s) sw_off.(s + 1)
   done;
   for h = 0 to nh - 1 do
-    sort_group t (Host h) host_adj host_off.(h) host_off.(h + 1)
+    sort_group host_adj host_off.(h) host_off.(h + 1)
   done;
   t.sw_off <- sw_off;
+  t.sw_mid <- sw_mid;
   t.sw_adj <- sw_adj;
   t.host_off <- host_off;
   t.host_adj <- host_adj;
@@ -305,11 +315,11 @@ let iter_incident t node f =
   match node with
   | Switch s ->
     for i = t.sw_off.(s) to t.sw_off.(s + 1) - 1 do
-      f t.sw_adj.(i)
+      f (key_link t.sw_adj.(i))
     done
   | Host h ->
     for i = t.host_off.(h) to t.host_off.(h + 1) - 1 do
-      f t.host_adj.(i)
+      f (key_link t.host_adj.(i))
     done
 
 let fail_switch t s =
@@ -324,43 +334,62 @@ let restore_switch t s =
 
 let link_working t id = (link t id).state = Working
 
-let working_unchecked t id =
-  t.working.(id / word_bits) land (1 lsl (id mod word_bits)) <> 0
+let working_bit working id =
+  working.(id / word_bits) land (1 lsl (id mod word_bits)) <> 0
+
+let check_switch t s =
+  if s < 0 || s >= t.n_switches then invalid_arg "Graph: bad switch id"
+
+(* The prologue of every switch-adjacency scan. *)
+let switch_csr t s =
+  check_switch t s;
+  ensure_csr t
+
+(* [f other link] over the working entries [lo, hi) of a switch group. *)
+let iter_working t lo hi f =
+  for i = lo to hi - 1 do
+    let k = t.sw_adj.(i) in
+    if working_bit t.working (key_link k) then f (key_node k) (key_link k)
+  done
 
 let iter_switch_neighbors t s f =
-  iter_incident t (Switch s) (fun id ->
-      if working_unchecked t id then
-        let l = t.link_arr.(id) in
-        match (other_end l (Switch s)).node with
-        | Switch s' -> f s' id
-        | Host _ -> ())
+  switch_csr t s;
+  iter_working t t.sw_off.(s) t.sw_mid.(s) f
 
 let iter_hosts_of_switch t s f =
-  iter_incident t (Switch s) (fun id ->
-      if working_unchecked t id then
-        let l = t.link_arr.(id) in
-        match (other_end l (Switch s)).node with
-        | Host h -> f h id
-        | Switch _ -> ())
+  switch_csr t s;
+  iter_working t t.sw_mid.(s) t.sw_off.(s + 1) f
 
 let iter_host_links t h f =
-  iter_incident t (Host h) (fun id ->
-      if working_unchecked t id then
-        let l = t.link_arr.(id) in
-        match (other_end l (Host h)).node with
-        | Switch s -> f s id
-        | Host _ -> ())
+  check_node t (Host h);
+  ensure_csr t;
+  let adj = t.host_adj and working = t.working in
+  for i = t.host_off.(h) to t.host_off.(h + 1) - 1 do
+    let k = adj.(i) in
+    if (not (key_is_host k)) && working_bit working (key_link k) then
+      f (key_node k) (key_link k)
+  done
 
 let switch_degree t s =
   let n = ref 0 in
   iter_switch_neighbors t s (fun _ _ -> incr n);
   !n
 
+(* Groups sort by (other, link), so the first working entry naming
+   [s'] is the lowest-id working link, and passing [s'] ends the scan. *)
 let switch_link t s s' =
-  let found = ref None in
-  iter_switch_neighbors t s (fun o id ->
-      if o = s' && !found = None then found := Some id);
-  !found
+  switch_csr t s;
+  let adj = t.sw_adj and stop = t.sw_mid.(s) in
+  let rec scan i =
+    if i >= stop then None
+    else
+      let k = adj.(i) in
+      let o = key_node k in
+      if o > s' then None
+      else if o = s' && working_bit t.working (key_link k) then Some (key_link k)
+      else scan (i + 1)
+  in
+  scan t.sw_off.(s)
 
 (* CSR groups are already in (other, link) order, so collecting
    front-to-back and reversing once reproduces the sorted lists. *)
@@ -373,24 +402,105 @@ let switch_neighbors t s = collect (iter_switch_neighbors t s)
 let host_links t h = collect (iter_host_links t h)
 let hosts_of_switch t s = collect (iter_hosts_of_switch t s)
 
+(* The route kernel: one breadth-first search over the packed CSR for
+   every switch-level path query. Scratch arrays are stamp-marked — a
+   switch was discovered by the current search iff [seen.(s) = stamp]
+   — so a search clears nothing, and the queue doubles as the
+   discovery order (each switch enters once, so [n] slots suffice).
+   The search pops switches in FIFO order and scans each group in
+   (neighbor, link) order, exactly as a list-based BFS over
+   [switch_neighbors] does; stopping once [dst] is discovered only
+   skips work after [dst]'s predecessor is fixed, so the path read
+   back is the one a full search would give. *)
+module Bfs = struct
+  type graph = t
+
+  type t = {
+    mutable stamp : int;
+    mutable seen : int array;  (* = stamp iff discovered this search *)
+    mutable prev : int array;  (* predecessor switch; -1 at the source *)
+    mutable via : int array;  (* link crossed from [prev] *)
+    mutable hop : int array;
+    mutable queue : int array;  (* discovery order *)
+    mutable reached : int;
+  }
+
+  let create () =
+    let e = [||] in
+    { stamp = 0; seen = e; prev = e; via = e; hop = e; queue = e; reached = 0 }
+
+  let key = Domain.DLS.new_key create
+  let local () = Domain.DLS.get key
+
+  let grow b n =
+    if Array.length b.seen < n then begin
+      let cap = max n (2 * Array.length b.seen) in
+      b.seen <- Array.make cap 0;
+      b.prev <- Array.make cap (-1);
+      b.via <- Array.make cap (-1);
+      b.hop <- Array.make cap (-1);
+      b.queue <- Array.make cap 0
+    end
+
+  let admit_all (_ : int) = true
+
+  let run ?(admit = admit_all) ?dst b (g : graph) ~src =
+    switch_csr g src;
+    let dst = match dst with None -> -1 | Some d -> check_switch g d; d in
+    grow b g.n_switches;
+    b.stamp <- b.stamp + 1;
+    let stamp = b.stamp and seen = b.seen and prev = b.prev and via = b.via in
+    let hop = b.hop and queue = b.queue and working = g.working in
+    let off = g.sw_off and mid = g.sw_mid and adj = g.sw_adj in
+    seen.(src) <- stamp;
+    prev.(src) <- -1;
+    via.(src) <- -1;
+    hop.(src) <- 0;
+    queue.(0) <- src;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail && (dst < 0 || seen.(dst) <> stamp) do
+      let s = queue.(!head) in
+      incr head;
+      let d = hop.(s) + 1 in
+      for i = off.(s) to mid.(s) - 1 do
+        let k = adj.(i) in
+        let s' = key_node k and lid = key_link k in
+        if seen.(s') <> stamp && working_bit working lid && admit lid then begin
+          seen.(s') <- stamp;
+          prev.(s') <- s;
+          via.(s') <- lid;
+          hop.(s') <- d;
+          queue.(!tail) <- s';
+          incr tail
+        end
+      done
+    done;
+    b.reached <- !tail
+
+  let reached b = b.reached
+
+  let nth b i =
+    if i < 0 || i >= b.reached then invalid_arg "Graph.Bfs.nth";
+    b.queue.(i)
+
+  let found b s =
+    b.stamp > 0 && s >= 0 && s < Array.length b.seen && b.seen.(s) = b.stamp
+
+  let hops b s = if found b s then b.hop.(s) else -1
+  let parent b s = if found b s then b.prev.(s) else -1
+  let parent_link b s = if found b s then b.via.(s) else -1
+
+  let path b s =
+    let rec walk acc s = if s < 0 then acc else walk (s :: acc) b.prev.(s) in
+    if found b s then Some (walk [] s) else None
+end
+
 let reachable_switches t start =
   if t.n_switches = 0 then 0
   else begin
-    let seen = Array.make t.n_switches false in
-    let queue = Queue.create () in
-    seen.(start) <- true;
-    Queue.add start queue;
-    let count = ref 0 in
-    while not (Queue.is_empty queue) do
-      let s = Queue.pop queue in
-      incr count;
-      iter_switch_neighbors t s (fun s' _ ->
-          if not seen.(s') then begin
-            seen.(s') <- true;
-            Queue.add s' queue
-          end)
-    done;
-    !count
+    let b = Bfs.local () in
+    Bfs.run b t ~src:start;
+    Bfs.reached b
   end
 
 let switch_connected t =
@@ -504,6 +614,7 @@ let restore section =
           version;
           csr_valid = false;
           sw_off = [| 0 |];
+          sw_mid = [||];
           sw_adj = [||];
           host_off = [| 0 |];
           host_adj = [||];

@@ -137,6 +137,51 @@ val reachable_switches : t -> int -> int
 (** Number of switches reachable from the given one over working
     links, including itself. *)
 
+(** {1 Route kernel}
+
+    The one breadth-first search behind every switch-level path query
+    ({!Paths}, {!reachable_switches}, admission's capacity routes,
+    spanning trees). It runs over reused stamp-marked int arrays and
+    the packed adjacency without allocating; results stay readable
+    until the next {!Bfs.run} on the same scratch. *)
+module Bfs : sig
+  type graph := t
+  type t
+
+  val local : unit -> t
+  (** The calling domain's scratch: domains sharing one graph (as
+      under [Netsim.Cluster]) never share search arrays. *)
+
+  val run :
+    ?admit:(int -> bool) -> ?dst:int -> t -> graph -> src:int -> unit
+  (** BFS from [src] over working switch-to-switch links, crossing
+      link [l] only if [admit l] (default: all). Switches expand in
+      discovery order and neighbors scan in {!switch_neighbors} order,
+      so every predecessor is the one a full list-based BFS assigns.
+      With [dst], the search stops once [dst] is discovered (later
+      switches read as unreached). [admit] must not search on the same
+      scratch. Raises [Invalid_argument] on a bad switch id. *)
+
+  val reached : t -> int
+  (** Switches discovered, [src] included. *)
+
+  val nth : t -> int -> int
+  (** [nth b i]: the [i]-th switch discovered, [nth b 0 = src]. *)
+
+  val hops : t -> int -> int
+  (** Hop count from [src]; -1 if not discovered. *)
+
+  val parent : t -> int -> int
+  (** Predecessor; -1 at [src] and if not discovered. *)
+
+  val parent_link : t -> int -> int
+  (** The link the search crossed from {!parent} — the lowest-id
+      working, admitted one; -1 where [parent] is. *)
+
+  val path : t -> int -> int list option
+  (** Switches from [src] to the given one inclusive, if discovered. *)
+end
+
 val pp : Format.formatter -> t -> unit
 (** Multi-line rendering of nodes and working links. *)
 

@@ -1,68 +1,34 @@
 let distances g ~src =
-  let n = Graph.switch_count g in
-  let dist = Array.make n (-1) in
-  dist.(src) <- 0;
-  let queue = Queue.create () in
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun (s', _) ->
-        if dist.(s') = -1 then begin
-          dist.(s') <- dist.(s) + 1;
-          Queue.add s' queue
-        end)
-      (Graph.switch_neighbors g s)
-  done;
-  dist
+  let b = Graph.Bfs.local () in
+  Graph.Bfs.run b g ~src;
+  Array.init (Graph.switch_count g) (Graph.Bfs.hops b)
 
 let route g ~src ~dst =
-  let n = Graph.switch_count g in
-  let prev = Array.make n (-1) in
-  let dist = Array.make n (-1) in
-  dist.(src) <- 0;
-  let queue = Queue.create () in
-  Queue.add src queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun (s', _) ->
-        if dist.(s') = -1 then begin
-          dist.(s') <- dist.(s) + 1;
-          prev.(s') <- s;
-          Queue.add s' queue
-        end)
-      (Graph.switch_neighbors g s)
-  done;
-  if src = dst then Some [ src ]
-  else if dist.(dst) = -1 then None
-  else begin
-    let rec walk acc s = if s = src then src :: acc else walk (s :: acc) prev.(s) in
-    Some (walk [] dst)
-  end
+  let b = Graph.Bfs.local () in
+  Graph.Bfs.run ~dst b g ~src;
+  Graph.Bfs.path b dst
 
+(* A full search from [src] discovers the switches it reaches, [src]
+   first, in nondecreasing hop order: the pairs are [nth 1 ..
+   reached-1], and the last one discovered is the farthest. *)
 let mean_distance g =
   let n = Graph.switch_count g in
-  if n < 2 then 0.0
-  else begin
-    let total = ref 0 and count = ref 0 in
-    for src = 0 to n - 1 do
-      let dist = distances g ~src in
-      Array.iteri
-        (fun dst d ->
-          if dst <> src && d >= 0 then begin
-            total := !total + d;
-            incr count
-          end)
-        dist
-    done;
-    if !count = 0 then 0.0 else float_of_int !total /. float_of_int !count
-  end
+  let b = Graph.Bfs.local () in
+  let total = ref 0 and count = ref 0 in
+  for src = 0 to n - 1 do
+    Graph.Bfs.run b g ~src;
+    for i = 1 to Graph.Bfs.reached b - 1 do
+      total := !total + Graph.Bfs.hops b (Graph.Bfs.nth b i);
+      incr count
+    done
+  done;
+  if !count = 0 then 0.0 else float_of_int !total /. float_of_int !count
 
 let diameter g =
-  let n = Graph.switch_count g in
+  let b = Graph.Bfs.local () in
   let best = ref 0 in
-  for src = 0 to n - 1 do
-    Array.iter (fun d -> if d > !best then best := d) (distances g ~src)
+  for src = 0 to Graph.switch_count g - 1 do
+    Graph.Bfs.run b g ~src;
+    best := max !best (Graph.Bfs.hops b (Graph.Bfs.nth b (Graph.Bfs.reached b - 1)))
   done;
   !best

@@ -8,26 +8,16 @@ type t = {
 let bfs g ~root =
   let n = Graph.switch_count g in
   if root < 0 || root >= n then invalid_arg "Spanning.bfs: bad root";
-  let parent = Array.make n (-1) in
-  let parent_link = Array.make n (-1) in
-  let depth = Array.make n (-1) in
+  let b = Graph.Bfs.local () in
+  Graph.Bfs.run b g ~src:root;
+  let parent = Array.init n (Graph.Bfs.parent b) in
   parent.(root) <- root;
-  depth.(root) <- 0;
-  let queue = Queue.create () in
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let s = Queue.pop queue in
-    List.iter
-      (fun (s', lid) ->
-        if depth.(s') = -1 then begin
-          depth.(s') <- depth.(s) + 1;
-          parent.(s') <- s;
-          parent_link.(s') <- lid;
-          Queue.add s' queue
-        end)
-      (Graph.switch_neighbors g s)
-  done;
-  { root; parent; parent_link; depth }
+  {
+    root;
+    parent;
+    parent_link = Array.init n (Graph.Bfs.parent_link b);
+    depth = Array.init n (Graph.Bfs.hops b);
+  }
 
 let height t = Array.fold_left max 0 t.depth
 

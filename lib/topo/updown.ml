@@ -8,10 +8,7 @@ let orient g (tree : Spanning.t) = { graph = g; depth = tree.depth }
 (* The paper's rule: up is toward the root (smaller depth); ties go
    toward the higher-numbered switch. *)
 let goes_up t ~from ~to_ =
-  let adjacent =
-    List.exists (fun (s, _) -> s = to_) (Graph.switch_neighbors t.graph from)
-  in
-  if not adjacent then
+  if Graph.switch_link t.graph from to_ = None then
     invalid_arg
       (Printf.sprintf "Updown.goes_up: switches %d and %d not adjacent" from to_);
   let df = t.depth.(from) and dt = t.depth.(to_) in
@@ -29,33 +26,32 @@ let legal_path t = function
     in
     check first false rest
 
-(* BFS over (switch, phase) states. Phase 0: only ups so far (may still
-   go up or down); phase 1: has gone down (only down allowed). *)
+(* BFS over (switch, phase) states, encoded [2 * s + phase]. Phase 0:
+   only ups so far (may still go up or down); phase 1: has gone down
+   (only down allowed). Each state enters the int-array queue once. *)
 let search g t ~src =
   let n = Graph.switch_count g in
   let dist = Array.make (2 * n) (-1) in
   let prev = Array.make (2 * n) (-1) in
-  let state s phase = (2 * s) + phase in
-  dist.(state src 0) <- 0;
-  let queue = Queue.create () in
-  Queue.add (src, 0) queue;
-  while not (Queue.is_empty queue) do
-    let s, phase = Queue.pop queue in
-    let d = dist.(state s phase) in
-    List.iter
-      (fun (s', _) ->
+  let queue = Array.make (2 * n) 0 in
+  dist.(2 * src) <- 0;
+  queue.(0) <- 2 * src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let st = queue.(!head) in
+    incr head;
+    let s = st / 2 and phase = st mod 2 in
+    Graph.iter_switch_neighbors g s (fun s' _ ->
         let up = goes_up t ~from:s ~to_:s' in
-        let allowed = (not up) || phase = 0 in
-        if allowed then begin
-          let phase' = if up then 0 else 1 in
-          let st' = state s' phase' in
+        if (not up) || phase = 0 then begin
+          let st' = (2 * s') + if up then 0 else 1 in
           if dist.(st') = -1 then begin
-            dist.(st') <- d + 1;
-            prev.(st') <- state s phase;
-            Queue.add (s', phase') queue
+            dist.(st') <- dist.(st) + 1;
+            prev.(st') <- st;
+            queue.(!tail) <- st';
+            incr tail
           end
         end)
-      (Graph.switch_neighbors g s)
   done;
   (dist, prev)
 
@@ -135,6 +131,7 @@ let dependency_acyclic g ~restricted =
      down and v->w goes up. *)
   let adj = Array.make dir_count [] in
   for v = 0 to n - 1 do
+    let out = Graph.switch_neighbors g v in
     List.iter
       (fun (u, lid_in) ->
         let d_in = dlid lid_in u v in
@@ -151,7 +148,7 @@ let dependency_acyclic g ~restricted =
               in
               if allowed then adj.(d_in) <- dlid lid_out v w :: adj.(d_in)
             end)
-          (Graph.switch_neighbors g v))
+          out)
       incoming.(v)
   done;
   (* Cycle detection by iterative DFS coloring. *)

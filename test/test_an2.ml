@@ -292,6 +292,158 @@ let test_schedules_valid_after_traffic =
       done;
       !ok)
 
+(* Admission oracle: the capacity route a list-based BFS finds over
+   the oracle's own reservation table. Every crossed link, host links
+   included, needs [cells] of headroom; a failed filtered search is
+   [No_route] iff an unfiltered one fails too. Between consecutive
+   switches the reserved link is the lowest-id working one with
+   headroom — the one the search crossed. *)
+let oracle_admit g ~frame ~reserved ~src_host ~dst_host ~cells =
+  let headroom lid = frame - reserved.(lid) in
+  let bfs admit a b =
+    let n = Topo.Graph.switch_count g in
+    let prev = Array.make n (-1) and seen = Array.make n false in
+    let queue = Queue.create () in
+    seen.(a) <- true;
+    Queue.add a queue;
+    while not (Queue.is_empty queue) do
+      let s = Queue.pop queue in
+      List.iter
+        (fun (s', lid) ->
+          if (not seen.(s')) && admit lid then begin
+            seen.(s') <- true;
+            prev.(s') <- s;
+            Queue.add s' queue
+          end)
+        (Topo.Graph.switch_neighbors g s)
+    done;
+    let rec walk acc s = if s = a then a :: acc else walk (s :: acc) prev.(s) in
+    if seen.(b) then Some (walk [] b) else None
+  in
+  match (Topo.Graph.host_links g src_host, Topo.Graph.host_links g dst_host) with
+  | [], _ | _, [] -> Error An2.Bandwidth_central.No_route
+  | (a, la) :: _, (b, lb) :: _ ->
+    if headroom la < cells || headroom lb < cells then
+      Error An2.Bandwidth_central.No_capacity
+    else begin
+      match bfs (fun lid -> headroom lid >= cells) a b with
+      | Some path ->
+        let rec mids = function
+          | x :: (y :: _ as rest) ->
+            (match
+               List.find_opt
+                 (fun (s', lid) -> s' = y && headroom lid >= cells)
+                 (Topo.Graph.switch_neighbors g x)
+             with
+             | Some (_, lid) -> lid :: mids rest
+             | None -> assert false)
+          | _ -> []
+        in
+        Ok (path, (la :: mids path) @ [ lb ])
+      | None ->
+        if bfs (fun _ -> true) a b = None then Error An2.Bandwidth_central.No_route
+        else Error An2.Bandwidth_central.No_capacity
+    end
+
+let test_admission_matches_oracle =
+  qtest ~count:60 "admission = capacity-filtered BFS oracle"
+    (QCheck.make QCheck.Gen.(pair (int_range 0 5000) (int_range 0 8)))
+    (fun (seed, faults) ->
+      let rng = Netsim.Rng.create seed in
+      let g = Topo.Build.src_lan () in
+      (* Backbone crashes (switches 0, 1) plus cuts among the 24
+         switch links partition the edge ring: [No_route] cases. *)
+      for _ = 1 to faults do
+        match Netsim.Rng.int rng 4 with
+        | 0 -> Topo.Graph.fail_switch g (Netsim.Rng.int rng 2)
+        | 1 -> Topo.Graph.fail_switch g (Netsim.Rng.int rng 10)
+        | _ -> Topo.Graph.fail_link g (Netsim.Rng.int rng 24)
+      done;
+      let frame = 8 in
+      let net = An2.Network.create ~frame g in
+      let bwc = An2.Bandwidth_central.create net in
+      let reserved = Array.make (Topo.Graph.link_count g) 0 in
+      let live = ref [] in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      for _ = 1 to 60 do
+        if !live <> [] && Netsim.Rng.int rng 3 = 0 then begin
+          let i = Netsim.Rng.int rng (List.length !live) in
+          let vc = List.nth !live i in
+          live := List.filteri (fun j _ -> j <> i) !live;
+          let cells =
+            match vc.An2.Network.cls with Guaranteed c -> c | Best_effort -> 0
+          in
+          List.iter (fun l -> reserved.(l) <- reserved.(l) - cells) vc.links;
+          An2.Bandwidth_central.release bwc vc
+        end
+        else begin
+          let src_host = Netsim.Rng.int rng 24 and dst_host = Netsim.Rng.int rng 24 in
+          let cells = 1 + Netsim.Rng.int rng 4 in
+          let expect = oracle_admit g ~frame ~reserved ~src_host ~dst_host ~cells in
+          match
+            (An2.Bandwidth_central.request bwc ~src_host ~dst_host ~cells, expect)
+          with
+          | Ok vc, Ok (switches, links) ->
+            check (vc.An2.Network.switches = switches && vc.links = links);
+            List.iter (fun l -> reserved.(l) <- reserved.(l) + cells) links;
+            live := vc :: !live
+          | Error d, Error d' -> check (d = d')
+          | _ -> check false
+        end;
+        Array.iteri
+          (fun l r -> check (An2.Bandwidth_central.reserved bwc l = r))
+          reserved
+      done;
+      !ok)
+
+(* Between parallel links, admission reserves the link its route
+   search crossed: here the lowest-id link is saturated, so the second
+   circuit must take (and reserve) the other one. *)
+let test_admission_parallel_links () =
+  let g = Topo.Graph.create () in
+  Topo.Graph.add_switches g 2;
+  let l0 = Topo.Graph.connect g (Switch 0) (Switch 1) in
+  let l1 = Topo.Graph.connect g (Switch 0) (Switch 1) in
+  let host s =
+    let h = Topo.Graph.add_host g in
+    ignore (Topo.Graph.connect g (Host h) (Switch s));
+    h
+  in
+  let a = host 0 and b = host 1 and c = host 0 and d = host 1 in
+  let net = An2.Network.create ~frame:8 g in
+  let bwc = An2.Bandwidth_central.create net in
+  let admit src_host dst_host =
+    match An2.Bandwidth_central.request bwc ~src_host ~dst_host ~cells:6 with
+    | Ok vc -> vc.An2.Network.links
+    | Error e -> Alcotest.failf "denied: %a" An2.Bandwidth_central.pp_denial e
+  in
+  Alcotest.(check bool) "first takes l0" true (List.mem l0 (admit a b));
+  Alcotest.(check bool) "second takes l1" true (List.mem l1 (admit c d));
+  Alcotest.(check (list int)) "reserved" [ 6; 6 ]
+    [ An2.Bandwidth_central.reserved bwc l0; An2.Bandwidth_central.reserved bwc l1 ]
+
+(* TPS points run two at a time on two domains give the same bytes as
+   the sequential run: each domain searches on its own route-kernel
+   scratch. *)
+let test_tps_sweep_domain_safe () =
+  let point seed =
+    let p =
+      Faults.Tps.run_point
+        ~graph:(fst (Topo.Build.fat_tree ~k:8))
+        Faults.Tps.improved_config
+        (An2.Workload.scale
+           { An2.Workload.default_profile with
+             duration = Netsim.Time.ms 100; seed; burst_rate = 0.0 }
+           ~rate:8000.0)
+    in
+    Marshal.to_string p []
+  in
+  let seeds = [ 1; 2; 3; 4 ] in
+  Alcotest.(check bool) "domains 2 = domains 1" true
+    (Netsim.Sweep.map ~domains:2 ~seeds point
+    = Netsim.Sweep.map ~domains:1 ~seeds point)
+
 let test_guaranteed_reroute_after_failure () =
   let g, net = make_net () in
   let bwc = An2.Bandwidth_central.create net in
@@ -961,6 +1113,10 @@ let () =
           Alcotest.test_case "routes around saturation" `Quick
             test_admission_routes_around_saturation;
           test_schedules_valid_after_traffic;
+          test_admission_matches_oracle;
+          Alcotest.test_case "parallel links" `Quick test_admission_parallel_links;
+          Alcotest.test_case "tps sweep domain-safe" `Quick
+            test_tps_sweep_domain_safe;
           Alcotest.test_case "guaranteed reroute" `Quick
             test_guaranteed_reroute_after_failure;
           Alcotest.test_case "reroute dissolves on denial" `Quick

@@ -159,6 +159,40 @@ let test_remove_cell () =
   Alcotest.(check bool) "nothing left to remove" false
     (Frame.Schedule.remove_cell s ~input:1 ~output:2)
 
+(* remove_cell frees the highest slot holding the connection, and
+   touches nothing else — checked against a full scan through the
+   public lookups after random Slepian-Duguid insertions (swap chains
+   move connections between slots) and removals. *)
+let test_remove_cell_highest_slot =
+  qtest ~count:200 "remove_cell frees the highest matching slot"
+    (QCheck.make QCheck.Gen.(pair (int_range 0 10_000) (int_range 1 120)))
+    (fun (seed, ops) ->
+      let rng = Netsim.Rng.create seed in
+      let n = 4 and frame = 6 in
+      let s = Frame.Schedule.create ~n ~frame in
+      let snapshot () =
+        Array.init frame (fun slot ->
+            Array.init n (fun input -> Frame.Schedule.output_of s ~slot ~input))
+      in
+      let ok = ref true in
+      for _ = 1 to ops do
+        let input = Netsim.Rng.int rng n and output = Netsim.Rng.int rng n in
+        if Netsim.Rng.int rng 3 > 0 then
+          ignore (Frame.Schedule.add_cell s ~input ~output)
+        else begin
+          let before = snapshot () in
+          let highest = ref (-1) in
+          Array.iteri
+            (fun slot row -> if row.(input) = Some output then highest := slot)
+            before;
+          if !highest >= 0 then before.(!highest).(input) <- None;
+          let removed = Frame.Schedule.remove_cell s ~input ~output in
+          if removed <> (!highest >= 0) || snapshot () <> before then ok := false
+        end;
+        if not (Frame.Schedule.valid s) then ok := false
+      done;
+      !ok)
+
 let test_add_after_remove () =
   (* Freed capacity is reusable. *)
   let s = Frame.Schedule.create ~n:2 ~frame:1 in
@@ -471,6 +505,7 @@ let () =
           test_sd_random_build;
           test_sd_step_bound;
           Alcotest.test_case "remove cell" `Quick test_remove_cell;
+          test_remove_cell_highest_slot;
           Alcotest.test_case "add after remove" `Quick test_add_after_remove;
           Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
         ] );

@@ -702,6 +702,157 @@ let test_graph_differential =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Route kernel vs a list-based BFS oracle *)
+
+(* The oracle reads adjacency straight from the link records — working
+   switch-to-switch links, sorted by (neighbor, link id) — so it shares
+   nothing with the packed CSR, and searches with a fresh Queue and a
+   full BFS, as Paths did before the kernel. *)
+let oracle_neighbors g s =
+  List.sort compare
+    (List.filter_map
+       (fun (l : Topo.Graph.link) ->
+         match (l.a.node, l.b.node) with
+         | Topo.Graph.Switch x, Topo.Graph.Switch y
+           when l.state = Topo.Graph.Working ->
+           if x = s then Some (y, l.link_id)
+           else if y = s then Some (x, l.link_id)
+           else None
+         | _ -> None)
+       (Topo.Graph.links g))
+
+let oracle_bfs ?(admit = fun _ -> true) g ~src =
+  let n = Topo.Graph.switch_count g in
+  let prev = Array.make n (-1) and dist = Array.make n (-1) in
+  let nbrs = Array.init n (oracle_neighbors g) in
+  dist.(src) <- 0;
+  let queue = Queue.create () in
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    let s = Queue.pop queue in
+    List.iter
+      (fun (s', l) ->
+        if dist.(s') = -1 && admit l then begin
+          dist.(s') <- dist.(s) + 1;
+          prev.(s') <- s;
+          Queue.add s' queue
+        end)
+      nbrs.(s)
+  done;
+  (dist, prev)
+
+let oracle_route (dist, prev) ~src ~dst =
+  if src = dst then Some [ src ]
+  else if dist.(dst) = -1 then None
+  else
+    let rec walk acc s = if s = src then src :: acc else walk (s :: acc) prev.(s) in
+    Some (walk [] dst)
+
+(* A random multigraph: parallel links, a few hosts, then a random
+   word of link/switch failures and restores, new links (a CSR
+   rebuild), and save/restore round trips. *)
+let kernel_case_gen =
+  QCheck.make
+    ~print:(fun (seed, n, k) -> Printf.sprintf "seed=%d n=%d ops=%d" seed n k)
+    QCheck.Gen.(triple (int_range 0 10_000) (int_range 1 14) (int_range 0 25))
+
+let kernel_matches_oracle g =
+  let n = Topo.Graph.switch_count g in
+  let ok = ref true in
+  let check b = if not b then ok := false in
+  for src = 0 to n - 1 do
+    let iter_order = ref [] in
+    Topo.Graph.iter_switch_neighbors g src (fun s' l ->
+        iter_order := (s', l) :: !iter_order);
+    check (List.rev !iter_order = Topo.Graph.switch_neighbors g src);
+    check (Topo.Graph.switch_neighbors g src = oracle_neighbors g src);
+    let ((dist, _) as o) = oracle_bfs g ~src in
+    check (Topo.Paths.distances g ~src = dist);
+    check
+      (Topo.Graph.reachable_switches g src
+      = Array.fold_left (fun a d -> if d >= 0 then a + 1 else a) 0 dist);
+    for dst = 0 to n - 1 do
+      check (Topo.Paths.route g ~src ~dst = oracle_route o ~src ~dst)
+    done;
+    (* The spanning tree is the full search's; each switch hangs off
+       its parent by the lowest-id working link between them. *)
+    let tree = Topo.Spanning.bfs g ~root:src in
+    let link_to s =
+      let p = tree.parent.(s) in
+      if p < 0 || s = src then -1
+      else snd (List.find (fun (s', _) -> s' = s) (oracle_neighbors g p))
+    in
+    check (tree.depth = dist);
+    check (Array.to_list tree.parent_link = List.init n link_to);
+    (* A filtered search skips one link; parallel links make it
+       reroute over a sibling rather than detour. *)
+    let links = Topo.Graph.link_count g in
+    if links > 0 then begin
+      let avoid = src mod links in
+      let admit l = l <> avoid in
+      let o' = oracle_bfs ~admit g ~src in
+      let b = Topo.Graph.Bfs.local () in
+      for dst = 0 to n - 1 do
+        Topo.Graph.Bfs.run ~admit ~dst b g ~src;
+        check (Topo.Graph.Bfs.path b dst = oracle_route o' ~src ~dst)
+      done
+    end
+  done;
+  !ok
+
+let test_kernel_differential =
+  qtest ~count:150 "route kernel = list BFS oracle" kernel_case_gen
+    (fun (seed, n, k) ->
+      let rng = Netsim.Rng.create seed in
+      let g = ref (Topo.Graph.create ~ports_per_switch:6 ()) in
+      Topo.Graph.add_switches !g n;
+      let connect_random () =
+        let a = Netsim.Rng.int rng n and b = Netsim.Rng.int rng n in
+        if a <> b then
+          try ignore (Topo.Graph.connect !g (Switch a) (Switch b)) with Failure _ -> ()
+      in
+      for _ = 1 to 2 * n do
+        connect_random ()
+      done;
+      for _ = 1 to Netsim.Rng.int rng 4 do
+        let h = Topo.Graph.add_host !g in
+        (try ignore (Topo.Graph.connect !g (Host h) (Switch (Netsim.Rng.int rng n)))
+         with Failure _ -> ())
+      done;
+      let ok = ref (kernel_matches_oracle !g) in
+      for _ = 1 to k do
+        let links = Topo.Graph.link_count !g in
+        (match Netsim.Rng.int rng 7 with
+         | 0 when links > 0 -> Topo.Graph.fail_link !g (Netsim.Rng.int rng links)
+         | 1 when links > 0 -> Topo.Graph.restore_link !g (Netsim.Rng.int rng links)
+         | 2 -> Topo.Graph.fail_switch !g (Netsim.Rng.int rng n)
+         | 3 -> Topo.Graph.restore_switch !g (Netsim.Rng.int rng n)
+         | 4 -> connect_random ()
+         | 5 -> g := Topo.Graph.restore (Topo.Graph.save !g)
+         | _ -> ());
+        if not (kernel_matches_oracle !g) then ok := false
+      done;
+      !ok)
+
+let test_kernel_edges () =
+  let g = Topo.Build.linear 4 in
+  Topo.Graph.fail_link g 1;
+  Alcotest.(check (option (list int))) "src = dst" (Some [ 2 ])
+    (Topo.Paths.route g ~src:2 ~dst:2);
+  Alcotest.(check (option (list int))) "cut off" None
+    (Topo.Paths.route g ~src:0 ~dst:3);
+  Alcotest.(check (option (list int))) "filtered out" None
+    (Topo.Graph.Bfs.(
+       let b = local () in
+       run b g ~src:2 ~dst:3 ~admit:(fun l -> l <> 2);
+       path b 3));
+  let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "bad src" true
+    (bad (fun () -> Topo.Paths.route g ~src:4 ~dst:0));
+  Alcotest.(check bool) "bad dst" true
+    (bad (fun () -> Topo.Paths.route g ~src:0 ~dst:(-1)))
+
 let () =
   Alcotest.run "topo"
     [
@@ -749,6 +900,8 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_paths_unreachable;
           test_route_is_path;
           Alcotest.test_case "mean distance" `Quick test_mean_distance_linear;
+          test_kernel_differential;
+          Alcotest.test_case "kernel edge cases" `Quick test_kernel_edges;
         ] );
       ( "updown",
         [
