@@ -169,10 +169,10 @@ let register_guaranteed ?install:(install_now = true) t ~src_host ~dst_host
 
 (* Port on switch [s] at which link [lid] terminates. *)
 let port_at t s lid =
-  let l = Topo.Graph.link t.graph lid in
-  if l.Topo.Graph.a.node = Topo.Graph.Switch s then l.Topo.Graph.a.port
-  else if l.Topo.Graph.b.node = Topo.Graph.Switch s then l.Topo.Graph.b.port
-  else invalid_arg "Network.port_at: link not at switch"
+  match Topo.Graph.link t.graph lid with
+  | { a = { node = Switch s'; port }; _ } when s' = s -> port
+  | { b = { node = Switch s'; port }; _ } when s' = s -> port
+  | _ -> invalid_arg "Network.port_at: link not at switch"
 
 let remove_schedule_entries t vc cells =
   List.iter
@@ -301,7 +301,7 @@ let save t =
         let sched = t.schedules.(s) in
         let triples = ref [] in
         let count = ref 0 in
-        for slot = Frame.Schedule.frame sched - 1 downto 0 do
+        for slot = Frame.Schedule.span sched - 1 downto 0 do
           for input = Frame.Schedule.n sched - 1 downto 0 do
             match Frame.Schedule.output_of sched ~slot ~input with
             | Some output ->

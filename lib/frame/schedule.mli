@@ -17,12 +17,20 @@ val output_of : t -> slot:int -> input:int -> int option
 val input_of : t -> slot:int -> output:int -> int option
 
 val place : t -> slot:int -> input:int -> output:int -> unit
-(** Direct placement; raises [Invalid_argument] if either side of the
-    pair is already busy in the slot. Used to set up literal schedules
-    (e.g. the Figure 2 example). *)
+(** Direct placement; raises [Invalid_argument] if the slot or either
+    port is out of range, or if either side of the pair is already busy
+    in the slot. Used to set up literal schedules (e.g. the Figure 2
+    example). *)
 
 val input_free : t -> slot:int -> input:int -> bool
 val output_free : t -> slot:int -> output:int -> bool
+(** The readers raise [Invalid_argument] on a slot or port out of
+    range. *)
+
+val span : t -> int
+(** A bound on the used slots: every slot at or past [span t] is free
+    on every input. At most [frame t]; readers that walk the whole
+    frame can stop here. *)
 
 val reserved_count : t -> input:int -> output:int -> int
 (** Cells per frame currently scheduled for the pair. *)

@@ -8,23 +8,46 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 let corrupt_msg msg = raise (Corrupt msg)
 
-(* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320). *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
-           else c := !c lsr 1
-         done;
-         !c))
+(* CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), slicing-by-8:
+   eight 256-entry tables, flat, table k at offset 256 * k. Table 0 is
+   the bytewise table; table k advances a byte's contribution past k
+   further zero bytes, so one step folds in eight bytes at once. *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
+      else c := !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.((256 * (k - 1)) + n) in
+      t.((256 * k) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
 let crc32_sub s pos len =
-  let table = Lazy.force crc_table in
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Snapshot.crc32_sub";
+  let tab k i = Array.unsafe_get crc_tables ((256 * k) + (i land 0xff)) in
   let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code (String.unsafe_get s i)) land 0xff)
-         lxor (!c lsr 8)
+  let i = ref pos in
+  let stop8 = pos + (len land lnot 7) in
+  while !i < stop8 do
+    let w = String.get_int64_le s !i in
+    let lo = !c lxor (Int64.to_int w land 0xFFFFFFFF) in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
+    c :=
+      tab 7 lo lxor tab 6 (lo lsr 8) lxor tab 5 (lo lsr 16) lxor tab 4 (lo lsr 24)
+      lxor tab 3 hi lxor tab 2 (hi lsr 8) lxor tab 1 (hi lsr 16) lxor tab 0 (hi lsr 24);
+    i := !i + 8
+  done;
+  for j = stop8 to pos + len - 1 do
+    c := tab 0 (!c lxor Char.code (String.unsafe_get s j)) lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

@@ -92,6 +92,10 @@ val crc32 : string -> int
 (** CRC-32 (IEEE 802.3) of a byte string, in [0, 2^32). Exposed so
     harnesses can digest-chain checkpoints cheaply. *)
 
+val crc32_sub : string -> int -> int -> int
+(** [crc32_sub s pos len] is [crc32 (String.sub s pos len)] without the
+    copy. Raises [Invalid_argument] if the range is not inside [s]. *)
+
 val digest : section list -> int
 (** CRC-32 over the sections' names, versions, lengths and payloads —
     deliberately {e excluding} the container's embedded CRC fields,

@@ -210,6 +210,377 @@ let test_copy_isolated () =
     (Frame.Schedule.input_free c ~slot:0 ~input:0)
 
 (* ------------------------------------------------------------------ *)
+(* Sparse schedule vs a dense oracle *)
+
+(* The dense layout the schedule used before its rows were sized by
+   use: two full ports x frame matrices. Kept here only as the oracle
+   for the differential test below. *)
+module Dense = struct
+  type t = {
+    size : int;
+    slots : int;
+    out_of : int array array;
+    in_of : int array array;
+    top : int array;
+  }
+
+  let create ~n ~frame =
+    {
+      size = n;
+      slots = frame;
+      out_of = Array.make_matrix n frame (-1);
+      in_of = Array.make_matrix n frame (-1);
+      top = Array.make n 0;
+    }
+
+  let output_of t ~slot ~input =
+    let o = t.out_of.(input).(slot) in
+    if o < 0 then None else Some o
+
+  let input_of t ~slot ~output =
+    let i = t.in_of.(output).(slot) in
+    if i < 0 then None else Some i
+
+  let input_free t ~slot ~input = t.out_of.(input).(slot) < 0
+  let output_free t ~slot ~output = t.in_of.(output).(slot) < 0
+
+  let place t ~slot ~input ~output =
+    if not (input_free t ~slot ~input) then invalid_arg "Dense.place: input busy";
+    if not (output_free t ~slot ~output) then invalid_arg "Dense.place: output busy";
+    t.out_of.(input).(slot) <- output;
+    t.in_of.(output).(slot) <- input;
+    if slot >= t.top.(input) then t.top.(input) <- slot + 1
+
+  let unplace t ~slot ~input ~output =
+    assert (t.out_of.(input).(slot) = output);
+    t.out_of.(input).(slot) <- -1;
+    t.in_of.(output).(slot) <- -1
+
+  let to_reservation t =
+    let r = Frame.Reservation.create t.size in
+    for s = 0 to t.slots - 1 do
+      for i = 0 to t.size - 1 do
+        let o = t.out_of.(i).(s) in
+        if o >= 0 then Frame.Reservation.add r i o 1
+      done
+    done;
+    r
+
+  let find_slot t pred =
+    let rec scan s = if s = t.slots then None else if pred s then Some s else scan (s + 1) in
+    scan 0
+
+  let add_cell t ~input ~output : (Frame.Schedule.add_outcome, string) result =
+    match
+      find_slot t (fun s -> input_free t ~slot:s ~input && output_free t ~slot:s ~output)
+    with
+    | Some s ->
+      place t ~slot:s ~input ~output;
+      Ok { steps = 1; moves = [] }
+    | None ->
+      let p = find_slot t (fun s -> input_free t ~slot:s ~input) in
+      let q = find_slot t (fun s -> output_free t ~slot:s ~output) in
+      (match (p, q) with
+       | None, _ -> Error (Printf.sprintf "input %d fully committed (inadmissible)" input)
+       | _, None -> Error (Printf.sprintf "output %d fully committed (inadmissible)" output)
+       | Some p, Some q ->
+         let moves = ref [] and steps = ref 0 in
+         let rec insert ~slot ~other i o =
+           incr steps;
+           let in_conflict =
+             let o' = t.out_of.(i).(slot) in
+             if o' >= 0 then Some (i, o') else None
+           in
+           let out_conflict =
+             let i' = t.in_of.(o).(slot) in
+             if i' >= 0 then Some (i', o) else None
+           in
+           match (in_conflict, out_conflict) with
+           | Some _, Some _ -> assert false
+           | Some (ci, co), None | None, Some (ci, co) ->
+             unplace t ~slot ~input:ci ~output:co;
+             place t ~slot ~input:i ~output:o;
+             moves := (slot, other, ci, co) :: !moves;
+             insert ~slot:other ~other:slot ci co
+           | None, None -> place t ~slot ~input:i ~output:o
+         in
+         insert ~slot:p ~other:q input output;
+         Ok { steps = !steps; moves = List.rev !moves })
+
+  let add_reservation t ~input ~output ~cells =
+    let rec go k total =
+      if k = 0 then Ok total
+      else
+        match add_cell t ~input ~output with
+        | Ok { steps; _ } -> go (k - 1) (total + steps)
+        | Error e -> Error e
+    in
+    go cells 0
+
+  let remove_cell t ~input ~output =
+    let row = t.out_of.(input) in
+    let rec scan s =
+      if s < 0 then false
+      else if row.(s) = output then begin
+        unplace t ~slot:s ~input ~output;
+        true
+      end
+      else scan (s - 1)
+    in
+    scan (t.top.(input) - 1)
+
+  let valid t =
+    let ok = ref true in
+    for s = 0 to t.slots - 1 do
+      for i = 0 to t.size - 1 do
+        let o = t.out_of.(i).(s) in
+        if o >= 0 && t.in_of.(o).(s) <> i then ok := false
+      done;
+      for o = 0 to t.size - 1 do
+        let i = t.in_of.(o).(s) in
+        if i >= 0 && t.out_of.(i).(s) <> o then ok := false
+      done
+    done;
+    !ok
+
+  let copy t =
+    {
+      t with
+      out_of = Array.map Array.copy t.out_of;
+      in_of = Array.map Array.copy t.in_of;
+      top = Array.copy t.top;
+    }
+end
+
+type sched_op =
+  | Place of int * int * int  (** slot, input, output *)
+  | Place_run of int * int * int * int
+      (** first slot, count, input, output: consecutive direct placements *)
+  | Add of int * int
+  | Reserve of int * int * int  (** input, output, cells *)
+  | Remove of int * int
+  | Copy
+
+let pp_sched_op = function
+  | Place (s, i, o) -> Printf.sprintf "place %d %d->%d" s i o
+  | Place_run (s, k, i, o) -> Printf.sprintf "place %d..%d %d->%d" s (s + k - 1) i o
+  | Add (i, o) -> Printf.sprintf "add %d->%d" i o
+  | Reserve (i, o, c) -> Printf.sprintf "reserve %d->%d x%d" i o c
+  | Remove (i, o) -> Printf.sprintf "remove %d->%d" i o
+  | Copy -> "copy"
+
+(* Random op sequences that reach the row-growth corners: a direct
+   placement at slot frame-1 in every sequence, and (when frame >= 2)
+   often a saturating prefix that leaves the input busy in slots
+   [0, a) and the output busy in [a, frame), so the next add runs a
+   swap chain whose first insertion lands at slot [a] — past the end
+   of the input's row — and, for n >= 3, moves a cell to slot [a] of a
+   third port's row, again past its end when [a] is a row length. *)
+let sched_ops_gen ~n ~frame =
+  let open QCheck.Gen in
+  let port = frequency [ (3, int_range 0 (min n 3 - 1)); (1, int_range 0 (n - 1)) ] in
+  let slot =
+    frequency
+      [ (2, return (frame - 1)); (1, return 0); (1, return (min (frame - 1) 8));
+        (3, int_range 0 (frame - 1)) ]
+  in
+  let cells =
+    frequency
+      [ (4, int_range 0 3); (1, return (frame / 2)); (1, int_range 0 frame) ]
+  in
+  let op =
+    frequency
+      [
+        (3, map3 (fun s i o -> Place (s, i, o)) slot port port);
+        (6, map2 (fun i o -> Add (i, o)) port port);
+        (3, map3 (fun i o c -> Reserve (i, o, c)) port port cells);
+        (3, map2 (fun i o -> Remove (i, o)) port port);
+        (1, return Copy);
+      ]
+  in
+  let saturate =
+    if frame < 2 then return []
+    else
+      let* a =
+        oneof [ return 1; return (min 8 (frame - 1)); return (frame - 1); int_range 1 (frame - 1) ]
+      in
+      let* i = int_range 0 (n - 1) and* o = int_range 0 (n - 1) in
+      let i2 = (i + 1) mod n and o2 = (o + 1) mod n in
+      if n >= 3 then
+        let o3 = (o + 2) mod n in
+        return
+          [ Reserve (i2, o3, a); Place_run (a, frame - a, i2, o); Place_run (0, a, i, o2);
+            Add (i, o) ]
+      else return [ Place_run (0, a, i, o2); Place_run (a, frame - a, i2, o); Add (i, o) ]
+  in
+  let* prefix = frequency [ (1, return []); (1, saturate) ] in
+  let* before = list_size (int_range 0 20) op and* after = list_size (int_range 5 20) op in
+  let* last_slot = map2 (fun i o -> Place (frame - 1, i, o)) port port in
+  return (prefix @ before @ (last_slot :: after))
+
+(* Same answers from both, or raise Invalid_argument in both. *)
+let same_outcome f g =
+  let run f = match f () with v -> Ok v | exception Invalid_argument _ -> Error () in
+  let a = run f in
+  a = run g
+
+let schedules_agree ~n ~frame s d =
+  let ok = ref (Frame.Schedule.valid s = Dense.valid d && Frame.Schedule.valid s) in
+  for slot = 0 to frame - 1 do
+    for p = 0 to n - 1 do
+      if Frame.Schedule.output_of s ~slot ~input:p <> Dense.output_of d ~slot ~input:p
+         || Frame.Schedule.input_of s ~slot ~output:p <> Dense.input_of d ~slot ~output:p
+      then ok := false
+    done
+  done;
+  let r = Dense.to_reservation d in
+  for i = 0 to n - 1 do
+    for o = 0 to n - 1 do
+      if Frame.Schedule.reserved_count s ~input:i ~output:o <> Frame.Reservation.get r i o
+      then ok := false
+    done
+  done;
+  !ok && matrices_equal (Frame.Schedule.to_reservation s) r
+
+(* Runs [ops] on both layouts, comparing every result and the whole
+   state after each op, and every schedule left behind by a copy at
+   the end (a copy must not share rows with its source). Returns the
+   number of swap chains run, or fails with the first disagreement. *)
+let run_differential ~n ~frame ops =
+  let s = ref (Frame.Schedule.create ~n ~frame) and d = ref (Dense.create ~n ~frame) in
+  let frozen = ref [] and chains = ref 0 in
+  let fail k op = QCheck.Test.fail_reportf "step %d (%s) disagrees" k (pp_sched_op op) in
+  List.iteri
+    (fun k op ->
+      let agree =
+        match op with
+        | Place (slot, input, output) ->
+          same_outcome
+            (fun () -> Frame.Schedule.place !s ~slot ~input ~output)
+            (fun () -> Dense.place !d ~slot ~input ~output)
+        | Place_run (first, count, input, output) ->
+          List.for_all
+            (fun slot ->
+              same_outcome
+                (fun () -> Frame.Schedule.place !s ~slot ~input ~output)
+                (fun () -> Dense.place !d ~slot ~input ~output))
+            (List.init count (fun j -> first + j))
+        | Add (input, output) ->
+          let a = Frame.Schedule.add_cell !s ~input ~output in
+          (match a with Ok { moves = _ :: _; _ } -> incr chains | _ -> ());
+          a = Dense.add_cell !d ~input ~output
+        | Reserve (input, output, cells) ->
+          Frame.Schedule.add_reservation !s ~input ~output ~cells
+          = Dense.add_reservation !d ~input ~output ~cells
+        | Remove (input, output) ->
+          Frame.Schedule.remove_cell !s ~input ~output = Dense.remove_cell !d ~input ~output
+        | Copy ->
+          frozen := (!s, !d) :: !frozen;
+          s := Frame.Schedule.copy !s;
+          d := Dense.copy !d;
+          true
+      in
+      if not (agree && schedules_agree ~n ~frame !s !d) then fail k op)
+    ops;
+  if not (List.for_all (fun (s, d) -> schedules_agree ~n ~frame s d) !frozen) then
+    QCheck.Test.fail_report "a copied-from schedule changed";
+  !chains
+
+let differential_configs =
+  List.concat_map (fun n -> List.map (fun frame -> (n, frame)) [ 1; 3; 1024 ]) [ 2; 4; 16 ]
+
+let test_sparse_matches_dense =
+  List.map
+    (fun (n, frame) ->
+      let count = if frame * n > 1024 then 25 else 150 in
+      qtest ~count
+        (Printf.sprintf "sparse = dense oracle, n=%d frame=%d" n frame)
+        (QCheck.make
+           ~print:(fun ops -> String.concat "; " (List.map pp_sched_op ops))
+           (sched_ops_gen ~n ~frame))
+        (fun ops ->
+          ignore (run_differential ~n ~frame ops);
+          true))
+    differential_configs
+
+(* The generator does reach the corners it is meant to: swap chains at
+   every frame length above 1, and a placement at slot frame-1. *)
+let test_differential_coverage () =
+  List.iter
+    (fun (n, frame) ->
+      let rand = Random.State.make [| n; frame |] in
+      let seqs = QCheck.Gen.generate ~rand ~n:20 (sched_ops_gen ~n ~frame) in
+      let chains = List.fold_left (fun acc ops -> acc + run_differential ~n ~frame ops) 0 seqs in
+      if frame > 1 && chains = 0 then
+        Alcotest.failf "n=%d frame=%d: no swap chain in 20 sequences" n frame;
+      if frame = 1 && chains <> 0 then
+        Alcotest.failf "n=%d frame=1: a one-slot frame cannot need a swap chain" n;
+      Alcotest.(check bool)
+        (Printf.sprintf "n=%d frame=%d places at frame-1" n frame)
+        true
+        (List.for_all
+           (List.exists (function Place (s, _, _) -> s = frame - 1 | _ -> false))
+           seqs))
+    differential_configs
+
+(* The saturating chain with a = 8 on a 1024-slot frame: rows start
+   at 8 slots, so the new cell's first insertion (slot 8) and the
+   displaced (1 -> 3) cell's move to slot 8 both land past the end of
+   their rows. *)
+let test_chain_crosses_row_end () =
+  let frame = 1024 and a = 8 in
+  let s = Frame.Schedule.create ~n:4 ~frame in
+  ignore (Frame.Schedule.add_reservation s ~input:1 ~output:3 ~cells:a);
+  for slot = a to frame - 1 do
+    Frame.Schedule.place s ~slot ~input:1 ~output:0
+  done;
+  for slot = 0 to a - 1 do
+    Frame.Schedule.place s ~slot ~input:0 ~output:2
+  done;
+  (match Frame.Schedule.add_cell s ~input:0 ~output:0 with
+   | Ok { steps; moves } ->
+     Alcotest.(check int) "steps" 3 steps;
+     Alcotest.(check (list (pair (pair int int) (pair int int))))
+       "moves"
+       [ ((a, 0), (1, 0)); ((0, a), (1, 3)) ]
+       (List.map (fun (f, t, i, o) -> ((f, t), (i, o))) moves)
+   | Error e -> Alcotest.fail e);
+  Alcotest.(check (option int)) "new cell at slot a" (Some 0)
+    (Frame.Schedule.output_of s ~slot:a ~input:0);
+  Alcotest.(check (option int)) "moved cell at slot a" (Some 1)
+    (Frame.Schedule.input_of s ~slot:a ~output:3);
+  Alcotest.(check bool) "valid" true (Frame.Schedule.valid s)
+
+let test_out_of_range_rejected () =
+  let s = Frame.Schedule.create ~n:4 ~frame:16 in
+  (* busy rows first, so a missing range check would read a row at -1 *)
+  Frame.Schedule.place s ~slot:0 ~input:0 ~output:0;
+  let raises what f =
+    match f () with
+    | exception Invalid_argument msg ->
+      let mentions w =
+        let lw = String.length w in
+        let rec at k = k + lw <= String.length msg && (String.sub msg k lw = w || at (k + 1)) in
+        at 0
+      in
+      if not (mentions "outside" || mentions "index out of bounds") then
+        Alcotest.failf "%s: rejected as %S, not as out of range" what msg
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  in
+  raises "slot -1" (fun () -> Frame.Schedule.place s ~slot:(-1) ~input:0 ~output:0);
+  raises "slot = frame" (fun () -> Frame.Schedule.place s ~slot:16 ~input:0 ~output:0);
+  raises "input = n" (fun () -> Frame.Schedule.place s ~slot:1 ~input:4 ~output:1);
+  raises "output -1" (fun () -> Frame.Schedule.place s ~slot:1 ~input:1 ~output:(-1));
+  raises "read slot -1" (fun () -> ignore (Frame.Schedule.output_of s ~slot:(-1) ~input:0));
+  raises "read slot = frame" (fun () -> ignore (Frame.Schedule.input_free s ~slot:16 ~input:0));
+  raises "read port = n" (fun () -> ignore (Frame.Schedule.input_of s ~slot:0 ~output:4));
+  Alcotest.(check bool) "still valid" true (Frame.Schedule.valid s);
+  Alcotest.(check bool) "span covers slot 0" true
+    (Frame.Schedule.span s >= 1 && Frame.Schedule.span s <= 16);
+  Frame.Schedule.place s ~slot:15 ~input:3 ~output:3;
+  Alcotest.(check int) "span reaches the last slot" 16 (Frame.Schedule.span s)
+
+(* ------------------------------------------------------------------ *)
 (* Figures 2 and 3 *)
 
 let test_figure2_schedule_realizes_matrix () =
@@ -508,7 +879,13 @@ let () =
           test_remove_cell_highest_slot;
           Alcotest.test_case "add after remove" `Quick test_add_after_remove;
           Alcotest.test_case "copy isolated" `Quick test_copy_isolated;
-        ] );
+          Alcotest.test_case "out-of-range rejected" `Quick test_out_of_range_rejected;
+          Alcotest.test_case "swap chain crosses row end" `Quick
+            test_chain_crosses_row_end;
+          Alcotest.test_case "differential reaches its corners" `Quick
+            test_differential_coverage;
+        ]
+        @ test_sparse_matches_dense );
       ( "figures",
         [
           Alcotest.test_case "figure 2 realized" `Quick

@@ -1,6 +1,7 @@
 (* Snapshot container: primitive round-trips, canonical encoding,
-   loud rejection of corrupted or truncated files, and the module-level
-   save/restore/save byte-equality that checkpointing rests on. *)
+   loud rejection of corrupted or truncated files, the CRC-32, and the
+   module-level save/restore/save byte-equality that checkpointing
+   rests on. *)
 
 module Snap = Netsim.Snapshot
 
@@ -159,6 +160,53 @@ let test_digest_fingerprints_state () =
     (d1 <> 0x2144DF1C && d2 <> 0x2144DF1C)
 
 (* ------------------------------------------------------------------ *)
+(* CRC-32 *)
+
+let test_crc_check_value () =
+  Alcotest.(check int) "CRC-32 check value" 0xCBF43926 (Snap.crc32 "123456789");
+  Alcotest.(check int) "empty string" 0 (Snap.crc32 "")
+
+(* The plain bytewise CRC-32, as the container computed it before it
+   moved to slicing-by-8. *)
+let crc32_bytewise s pos len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let prop_crc_matches_bytewise =
+  prop ~count:500 "slicing-by-8 CRC = bytewise CRC at any offset"
+    (QCheck.make
+       ~print:(fun (s, a, b) -> Printf.sprintf "%S %d %d" s a b)
+       QCheck.Gen.(triple (string_size (int_range 0 100)) nat nat))
+    (fun (s, a, b) ->
+      let len = String.length s in
+      let pos = a mod (len + 1) in
+      let sub = b mod (len - pos + 1) in
+      Snap.crc32_sub s pos sub = crc32_bytewise s pos sub
+      && Snap.crc32 s = crc32_bytewise s 0 len)
+
+let test_crc_sub_range_checked () =
+  let bad pos len =
+    match Snap.crc32_sub "abcdef" pos len with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "crc32_sub %d %d accepted" pos len
+  in
+  bad (-1) 2;
+  bad 0 7;
+  bad 5 2;
+  bad 2 (-1)
+
+(* ------------------------------------------------------------------ *)
 (* Module sections: save -> restore -> save is byte-identical *)
 
 let test_engine_section_roundtrip () =
@@ -204,6 +252,102 @@ let test_graph_section_roundtrip () =
     "switch count survives" (Topo.Graph.switch_count g)
     (Topo.Graph.switch_count g2)
 
+(* A fat-tree:4 network carrying guaranteed circuits, one of which
+   takes the whole 1024-slot frame, so its cells reach slot 1023 on
+   every switch it crosses; a release leaves holes behind. *)
+let guaranteed_network () =
+  let g, _ = Topo.Build.fat_tree ~k:4 in
+  let net = An2.Network.create g in
+  let bwc = An2.Bandwidth_central.create net in
+  let admit src dst cells =
+    match An2.Bandwidth_central.request bwc ~src_host:src ~dst_host:dst ~cells with
+    | Ok vc -> vc
+    | Error d -> Alcotest.failf "%d -> %d denied: %a" src dst An2.Bandwidth_central.pp_denial d
+  in
+  let full = admit 0 15 (An2.Network.frame_length net) in
+  let _ = admit 2 9 3 in
+  let gone = admit 4 11 5 in
+  let _ = admit 6 13 2 in
+  let _ = admit 5 10 7 in
+  An2.Bandwidth_central.release bwc gone;
+  (g, net, full)
+
+let test_network_section_roundtrip () =
+  let g, net, full = guaranteed_network () in
+  let last = An2.Network.frame_length net - 1 in
+  let s = List.hd full.An2.Network.switches in
+  Alcotest.(check bool)
+    "a cell sits in slot frame-1" true
+    (List.exists
+       (fun input ->
+         Frame.Schedule.output_of (An2.Network.switch_schedule net s) ~slot:last ~input
+         <> None)
+       (List.init (Topo.Graph.ports_per_switch g) Fun.id));
+  let s1 = An2.Network.save net in
+  let net2 = An2.Network.restore ~graph:g s1 in
+  let s2 = An2.Network.save net2 in
+  Alcotest.(check bool)
+    "network save/restore/save bytes" true
+    (Snap.encode [ s1 ] = Snap.encode [ s2 ]);
+  for sw = 0 to Topo.Graph.switch_count g - 1 do
+    let a = An2.Network.switch_schedule net sw and b = An2.Network.switch_schedule net2 sw in
+    for slot = 0 to last do
+      for input = 0 to Topo.Graph.ports_per_switch g - 1 do
+        if Frame.Schedule.output_of a ~slot ~input <> Frame.Schedule.output_of b ~slot ~input
+        then Alcotest.failf "switch %d slot %d input %d differs after restore" sw slot input
+      done
+    done
+  done
+
+(* An "an2-network" section with no circuits and one schedule entry
+   (slot, input, output) on switch 0, passed through the container so
+   its CRC is valid. *)
+let network_section_with_entry g ~frame (slot, input, output) =
+  let sec =
+    Snap.make ~name:"an2-network" ~version:1 (fun w ->
+        let n = Topo.Graph.switch_count g in
+        Snap.W.int w frame;
+        Snap.W.int w 1;
+        Snap.W.int w n;
+        Snap.W.int w 0;
+        for _ = 1 to n do
+          Snap.W.int w 0
+        done;
+        for s = 0 to n - 1 do
+          if s = 0 then begin
+            Snap.W.int w 1;
+            Snap.W.int w slot;
+            Snap.W.int w input;
+            Snap.W.int w output
+          end
+          else Snap.W.int w 0
+        done)
+  in
+  List.hd (Snap.decode (Snap.encode [ sec ]))
+
+let test_network_restore_rejects_bad_entries () =
+  let g, _ = Topo.Build.fat_tree ~k:4 in
+  let frame = 1024 and ports = Topo.Graph.ports_per_switch g in
+  let restore entry =
+    An2.Network.restore ~graph:g (network_section_with_entry g ~frame entry)
+  in
+  (* the well-formed neighbour of each damaged entry restores *)
+  let ok = restore (frame - 1, ports - 1, 0) in
+  Alcotest.(check (option int))
+    "in-range entry restored" (Some 0)
+    (Frame.Schedule.output_of (An2.Network.switch_schedule ok 0) ~slot:(frame - 1)
+       ~input:(ports - 1));
+  List.iter
+    (fun (what, entry) ->
+      Alcotest.(check bool) what true (rejects what (fun () -> restore entry)))
+    [
+      ("slot -1", (-1, 0, 0));
+      ("slot = frame", (frame, 0, 0));
+      ("input = ports_per_switch", (0, ports, 0));
+      ("output = ports_per_switch", (0, 0, ports));
+      ("input -1", (0, -1, 0));
+    ]
+
 let () =
   Alcotest.run "snapshot"
     [
@@ -220,11 +364,21 @@ let () =
           Alcotest.test_case "digest fingerprints state" `Quick
             test_digest_fingerprints_state;
         ] );
+      ( "crc",
+        [
+          Alcotest.test_case "check value" `Quick test_crc_check_value;
+          prop_crc_matches_bytewise;
+          Alcotest.test_case "sub range checked" `Quick test_crc_sub_range_checked;
+        ] );
       ( "module sections",
         [
           Alcotest.test_case "engine round-trip" `Quick
             test_engine_section_roundtrip;
           Alcotest.test_case "graph round-trip" `Quick
             test_graph_section_roundtrip;
+          Alcotest.test_case "network round-trip" `Quick
+            test_network_section_roundtrip;
+          Alcotest.test_case "network rejects bad schedule entries" `Quick
+            test_network_restore_rejects_bad_entries;
         ] );
     ]
